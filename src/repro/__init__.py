@@ -63,7 +63,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "AntiEntropy",

@@ -33,7 +33,6 @@ from repro.cluster.registry import ClusterState
 from repro.cluster.service import Service, ServiceError
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
-from repro.sim.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compute.job import ComputeConfig
@@ -58,9 +57,7 @@ class Cluster:
     """Fluent facade over a :class:`~repro.core.treep.TreePNetwork` plus its
     attached services.
 
-    Parameters mirror ``TreePNetwork``; an existing network can be wrapped
-    with ``Cluster(net=existing)`` (the service plane is shared either way,
-    so facade styles compose instead of colliding).
+    Parameters mirror ``TreePNetwork``.
     """
 
     def __init__(
@@ -70,22 +67,8 @@ class Cluster:
         *,
         latency: Optional["LatencyModel"] = None,
         loss: float = 0.0,
-        tracer: Tracer = NULL_TRACER,
-        net: Optional[TreePNetwork] = None,
     ) -> None:
-        if net is not None:
-            if (config is not None or seed != 0 or latency is not None
-                    or loss != 0.0 or tracer is not NULL_TRACER):
-                raise ValueError(
-                    "Cluster(net=...) wraps an existing network: config, "
-                    "seed, latency, loss and tracer are that network's own "
-                    "and cannot be overridden here"
-                )
-            self.net = net
-        else:
-            self.net = TreePNetwork(
-                config=config, seed=seed, latency=latency, loss=loss, tracer=tracer
-            )
+        self.net = TreePNetwork(config=config, seed=seed, latency=latency, loss=loss)
 
     # ------------------------------------------------------------- building
     @property
@@ -122,7 +105,7 @@ class Cluster:
     # ------------------------------------------------------------- services
     @property
     def state(self) -> ClusterState:
-        """The network's service plane (shared with legacy-attached facades)."""
+        """The network's service plane."""
         return ClusterState.of(self.net)
 
     @property

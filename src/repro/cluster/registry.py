@@ -14,9 +14,9 @@ responsibility:
 
 :class:`ClusterState` is the one-per-network container (created lazily and
 cached on the :class:`~repro.core.treep.TreePNetwork`) holding the attached
-services by name and the per-node registries.  Both the new
-:class:`~repro.cluster.cluster.Cluster` facade and the legacy direct-wire
-constructors attach through it, so the two styles compose on one registry.
+services by name and the per-node registries.  The
+:class:`~repro.cluster.cluster.Cluster` facade attaches every service
+through it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
     from repro.core.treep import TreePNetwork
 
-__all__ = ["ServiceRegistry", "ClusterState", "attach_service"]
+__all__ = ["ServiceRegistry", "ClusterState"]
 
 
 class ServiceRegistry:
@@ -104,7 +104,7 @@ class ClusterState:
         self.order: List[str] = []
         self.registries: Dict[int, ServiceRegistry] = {}
         #: Dependency edges: name -> names of attached services that hold a
-        #: reference to it (recorded by ``ctx.require``/``ctx.depends_on``).
+        #: reference to it (recorded by ``ctx.require``).
         #: Replacing a service with live dependents is refused — they would
         #: keep driving the detached instance, whose handlers are gone.
         self.dependents: Dict[str, set] = {}
@@ -239,8 +239,3 @@ class ClusterState:
             svc = self.services.get(name)
             if svc is not None:
                 self.detach(svc)
-
-
-def attach_service(net: "TreePNetwork", service: Service) -> Service:
-    """Attach *service* to *net*'s service plane (the legacy shims' path)."""
-    return ClusterState.of(net).attach(service)

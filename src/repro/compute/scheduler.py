@@ -29,13 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
 
-from repro.cluster.registry import attach_service
-from repro.cluster.service import (
-    Handler,
-    Service,
-    ServiceContext,
-    warn_direct_wire,
-)
+from repro.cluster.service import Handler, Service, ServiceContext
 from repro.compute.job import (
     ComputeConfig,
     JobRecord,
@@ -349,23 +343,20 @@ class JobScheduler(Service):
     As a :class:`~repro.cluster.service.Service` the facade resolves its
     dependencies at attach time: a missing storage service (checkpoints) or
     discovery service (matchmaking aggregates) is created and attached
-    first, and dependencies it spawned are detached with it.  The direct
-    ``JobScheduler(net, ...)`` constructor remains as a deprecation shim.
+    first, and dependencies it spawned are detached with it.
     """
 
     name = "compute"
 
     def __init__(
         self,
-        net: Optional["TreePNetwork"] = None,
-        store: Optional[ReplicatedStore] = None,
         config: Optional[ComputeConfig] = None,
         quorum: Optional[QuorumConfig] = None,
     ) -> None:
         super().__init__()
         self.net: Optional["TreePNetwork"] = None
         self.config = config if config is not None else ComputeConfig()
-        self.store = store
+        self.store: Optional[ReplicatedStore] = None
         self._quorum = quorum
         self.directory: Optional[ResourceDirectory] = None
         self._rng = None
@@ -388,11 +379,6 @@ class JobScheduler(Service):
         self._m_placement_hops = self.metrics.counter(
             "scheduler.placement_hops")
         self._m_placements = self.metrics.counter("scheduler.placements")
-        if net is not None:
-            if net.layout is None:
-                raise RuntimeError("network must be built first")
-            warn_direct_wire("JobScheduler(net, ...)", "Cluster.with_compute(...)")
-            attach_service(net, self)
 
     # Pre-1.6 counter attribute API, now registry-backed.
     @property
@@ -421,15 +407,9 @@ class JobScheduler(Service):
             raise RuntimeError("network must be built first")
         self.net = ctx.net
         self._rng = ctx.net.rng.get("compute-scheduler")
-        if self.store is None:
-            quorum = self._quorum
-            self.store = ctx.require(
-                "storage", factory=lambda: ReplicatedStore(quorum=quorum)
-            )  # type: ignore[assignment]
-        else:
-            if not self.store.attached:
-                attach_service(ctx.net, self.store)
-            ctx.depends_on(self.store)
+        self.store = ctx.require(
+            "storage", factory=lambda: ReplicatedStore(quorum=self._quorum)
+        )  # type: ignore[assignment]
         self.directory = ctx.require(
             "discovery", factory=ResourceDirectory
         )  # type: ignore[assignment]

@@ -50,7 +50,6 @@ from repro.core.messages import (
 )
 from repro.core.routing_table import RoutingTable
 from repro.sim.network import Datagram, Process
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass(slots=True)
@@ -77,8 +76,6 @@ class TreePNode(Process):
         The peer's capability vector.
     config:
         Shared overlay configuration.
-    tracer:
-        Optional structured tracer (defaults to the null tracer).
     """
 
     def __init__(
@@ -86,13 +83,11 @@ class TreePNode(Process):
         ident: int,
         capacity: NodeCapacity,
         config: TreePConfig,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         super().__init__(ident)
         self.ident = ident
         self.capacity = capacity
         self.config = config
-        self.tracer = tracer
         self.table = RoutingTable(ident)
         #: Highest level this node occupies (0 = leaf-only).
         self.max_level = 0
@@ -207,8 +202,6 @@ class TreePNode(Process):
             cls = type(self)
             handler = cache[ptype] = getattr(cls, f"_on_{ptype.__name__}", None)
         if handler is None:
-            self.tracer.record(self.sim.now, "drop", self.ident,
-                               f"no handler for {ptype.__name__}")
             return
         handler(self, dgram.src, payload)
 
@@ -311,8 +304,6 @@ class TreePNode(Process):
                 self.send(req.origin, reply)
             return
         # DISCARD: drop silently; the origin's timeout accounts for it.
-        self.tracer.record(self.sim.now, "lookup-discard", self.ident,
-                           f"rid={req.request_id} ttl={req.ttl}")
 
     def _on_LookupReply(self, src: int, reply: LookupReply) -> None:
         pend = self.pending.pop(reply.request_id, None)
@@ -446,7 +437,6 @@ class TreePNode(Process):
         if old_parent is not None:
             self.table.add_level(msg.to_level, old_parent, now,
                                  max_level=msg.to_level)
-        self.tracer.record(now, "promoted", self.ident, f"to level {msg.to_level}")
 
     def _superior_chain(self) -> Tuple[int, ...]:
         chain: List[int] = []
@@ -496,7 +486,6 @@ class TreePNode(Process):
         for p in e.participants:
             if p != self.ident:
                 self.send(p, claim)
-        self.tracer.record(self.sim.now, "election-won", self.ident, f"level={new_level}")
 
     def _on_ParentClaim(self, src: int, msg: ParentClaim) -> None:
         self.elections.on_claim(msg.level - 1, msg.winner)
@@ -531,7 +520,6 @@ class TreePNode(Process):
             self.send(c, msg)
         self.max_level = level - 1
         self.table.level_tables.pop(level, None)
-        self.tracer.record(self.sim.now, "demoted", self.ident, f"from level {level}")
 
     def _on_Demote(self, src: int, msg: Demote) -> None:
         now = self.sim.now

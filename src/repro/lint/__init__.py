@@ -47,7 +47,6 @@ from repro.lint.layers import (
     default_layers_path,
     load_layer_map,
     parse_contract,
-    parse_toml,
 )
 from repro.lint.rules import REGISTRY, Rule, all_rules, rule
 
@@ -68,7 +67,6 @@ __all__ = [
     "load_baseline",
     "load_layer_map",
     "parse_contract",
-    "parse_toml",
     "rule",
     "write_baseline",
 ]

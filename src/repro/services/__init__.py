@@ -15,8 +15,7 @@ functionality".  This package builds those three consumers:
 
 All three implement the :class:`~repro.cluster.service.Service` lifecycle
 protocol; construct them through :class:`repro.cluster.Cluster`
-(``with_dht`` / ``with_discovery`` / ``with_loadbalance``) — the direct
-``*(net)`` constructors remain as deprecation shims.
+(``with_dht`` / ``with_discovery`` / ``with_loadbalance``).
 """
 
 from repro.services.dht import TreePDht

@@ -19,8 +19,7 @@ later without monkey-patching.  PUT acks travel as the dedicated
 own field), replica copies as ``DhtPut(direct=True)`` — no TTL abuse, and
 a store confirmation can never be mistaken for a GET hit.
 
-Construct through :meth:`repro.cluster.Cluster.with_dht`; the direct
-``TreePDht(net)`` constructor remains as a deprecation shim.
+Construct through :meth:`repro.cluster.Cluster.with_dht`.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.cluster.registry import attach_service
-from repro.cluster.service import Handler, Service, ServiceContext, warn_direct_wire
+from repro.cluster.service import Handler, Service, ServiceContext
 from repro.core.lookup import greedy_key_next_hop
 from repro.core.messages import DhtGet, DhtPut, DhtPutAck, DhtValue
 from repro.core.node import TreePNode
@@ -66,7 +64,7 @@ class TreePDht(Service):
 
     name = "dht"
 
-    def __init__(self, net: Optional[TreePNetwork] = None, replicas: int = 2) -> None:
+    def __init__(self, replicas: int = 2) -> None:
         super().__init__()
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -78,9 +76,6 @@ class TreePDht(Service):
         self._replies: Dict[int, object] = {}
         self._abandoned: Dict[int, None] = {}
         self._rid = itertools.count(1)
-        if net is not None:
-            warn_direct_wire("TreePDht(net, ...)", "Cluster.with_dht(...)")
-            attach_service(net, self)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:

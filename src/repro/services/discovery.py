@@ -18,8 +18,7 @@ resyncs them, so `Cluster`-driven churn no longer needs manual refresh
 calls (explicit :meth:`refresh` still works and is still exact).
 
 Construct through :meth:`repro.cluster.Cluster.with_discovery` (or let
-``with_compute`` pull it in); ``ResourceDirectory(net)`` remains as a
-deprecation shim.
+``with_compute`` pull it in).
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.cluster.registry import attach_service
-from repro.cluster.service import Service, ServiceContext, warn_direct_wire
+from repro.cluster.service import Service, ServiceContext
 from repro.core.capacity import NodeCapacity
 from repro.core.treep import TreePNetwork
 
@@ -103,17 +101,12 @@ class ResourceDirectory(Service):
 
     name = "discovery"
 
-    def __init__(self, net: Optional[TreePNetwork] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.net: Optional[TreePNetwork] = None
         self._agg: Dict[Tuple[int, int], Aggregate] = {}
         self._stale = True
         self._liveness_key: Tuple[int, int] = (-1, -1)
-        if net is not None:
-            if net.layout is None:
-                raise RuntimeError("network must be built first")
-            warn_direct_wire("ResourceDirectory(net)", "Cluster.with_discovery()")
-            attach_service(net, self)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:

@@ -26,13 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.cluster.registry import attach_service
-from repro.cluster.service import (
-    Service,
-    ServiceContext,
-    ServiceError,
-    warn_direct_wire,
-)
+from repro.cluster.service import Service, ServiceContext, ServiceError
 from repro.core.messages import StoreReplicate
 from repro.metrics.durability import DurabilityTracker
 from repro.storage.quorum import REPAIR_RID, ReplicatedStore
@@ -65,45 +59,29 @@ class AntiEntropy(Service):
     through the service context, so detaching the service (or shutting a
     :class:`~repro.cluster.Cluster` down) cancels it even when the caller
     forgot :meth:`stop`.  Construct through
-    ``Cluster.with_storage(anti_entropy=interval)``; ``AntiEntropy(store)``
-    still works and resolves the store dependency directly.
+    ``Cluster.with_storage(anti_entropy=interval)``; the store it sweeps is
+    the attached ``storage`` service, resolved at attach time.
     """
 
     name = "anti-entropy"
 
     def __init__(
         self,
-        store: Optional[ReplicatedStore] = None,
         interval: float = 30.0,
         tracker: Optional[DurabilityTracker] = None,
     ) -> None:
         super().__init__()
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        self.store = store
+        self.store: Optional[ReplicatedStore] = None
         self.interval = interval
         self.tracker = tracker
-        if self.tracker is None and store is not None:
-            self.tracker = DurabilityTracker(n_target=store.quorum.n)
         self.reports: List[SweepReport] = []
         self._timer: Optional["PeriodicTimer"] = None
-        if store is not None and store.attached:
-            warn_direct_wire(
-                "AntiEntropy(store, ...) on an attached store",
-                "Cluster.with_storage(..., anti_entropy=interval)",
-            )
-            attach_service(store.net, self)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:
-        if self.store is None:
-            self.store = ctx.require("storage")  # type: ignore[assignment]
-        else:
-            if not self.store.attached:
-                # Injected new-style (detached) store: wire it to the same
-                # network, or the first sweep would find no agents at all.
-                attach_service(ctx.net, self.store)
-            ctx.depends_on(self.store)
+        self.store = ctx.require("storage")  # type: ignore[assignment]
         if self.tracker is None:
             self.tracker = DurabilityTracker(n_target=self.store.quorum.n)
 
@@ -131,13 +109,9 @@ class AntiEntropy(Service):
         """Arm the periodic sweep on the network's simulator."""
         if self.running:
             return
-        if self.attached:
-            self._timer = self.ctx.every(self.interval, self.sweep,
-                                         label="anti-entropy")
-        else:
-            self._timer = self._resolved_store().net.sim.every(
-                self.interval, self.sweep, label="anti-entropy"
-            )
+        self._resolved_store()  # fail loud before touching ctx
+        self._timer = self.ctx.every(self.interval, self.sweep,
+                                     label="anti-entropy")
 
     def stop(self) -> None:
         if self._timer is not None:

@@ -24,8 +24,7 @@ each node's agent handlers are declared via
 :meth:`ReplicatedStore.node_handlers` and installed/removed by the per-node
 service registry (no monkey-patching, no leak on teardown).
 
-Construct through :meth:`repro.cluster.Cluster.with_storage`; the direct
-``ReplicatedStore(net, ...)`` constructor remains as a deprecation shim.
+Construct through :meth:`repro.cluster.Cluster.with_storage`.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.cluster.registry import attach_service
-from repro.cluster.service import Handler, Service, ServiceContext, warn_direct_wire
+from repro.cluster.service import Handler, Service, ServiceContext
 from repro.core.lookup import greedy_key_next_hop
 from repro.core.messages import (
     StoreAck,
@@ -413,7 +411,6 @@ class ReplicatedStore(Service):
 
     def __init__(
         self,
-        net: Optional["TreePNetwork"] = None,
         quorum: Optional[QuorumConfig] = None,
         placement: PlacementStrategy | str = "successor",
     ) -> None:
@@ -425,9 +422,6 @@ class ReplicatedStore(Service):
         self._rid = itertools.count(1)
         #: key ids successfully written at least once (durability baseline).
         self.tracked_keys: Dict[int, str] = {}
-        if net is not None:
-            warn_direct_wire("ReplicatedStore(net, ...)", "Cluster.with_storage(...)")
-            attach_service(net, self)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:

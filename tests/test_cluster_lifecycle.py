@@ -257,19 +257,6 @@ def test_cluster_context_manager_shuts_down():
     assert not store.attached
 
 
-def test_shared_state_with_legacy_constructors():
-    """Old direct-wire constructors attach through the same registry, so
-    the two styles compose instead of colliding."""
-    from repro.storage.quorum import ReplicatedStore
-
-    cluster = make_cluster()
-    with pytest.deprecated_call():
-        store = ReplicatedStore(cluster.net, QuorumConfig(n=2, w=1, r=1))
-    assert cluster.storage is store
-    cluster.with_compute()
-    assert cluster.compute.store is store
-
-
 # ------------------------------------------------------ review regressions
 def test_scheduler_monitor_survives_host_fail_and_revive():
     """Regression: a fail+revive of the scheduler host (with no
@@ -308,22 +295,6 @@ def test_failed_attach_rolls_back_spawned_dependencies():
         assert node.handler_types() == set()
 
 
-def test_anti_entropy_attaches_injected_detached_store():
-    """Regression: the generic add_service path with a new-style (detached)
-    store must wire the store too, not sweep over zero agents."""
-    from repro.storage.antientropy import AntiEntropy
-    from repro.storage.quorum import ReplicatedStore
-
-    cluster = make_cluster()
-    store = ReplicatedStore(quorum=QuorumConfig(n=2, w=1, r=1))
-    cluster.add_service(AntiEntropy(store, interval=5.0))
-    assert store.attached and cluster.storage is store
-    assert store.put("k", 1).ok
-    report = cluster.anti_entropy.sweep()
-    assert report.keys >= 1
-    cluster.shutdown()
-
-
 def test_detach_cascade_spares_shared_dependencies():
     """Regression: compute detaching must not tear down the storage service
     it spawned while anti-entropy (another attached service) depends on it."""
@@ -342,26 +313,15 @@ def test_detach_cascade_spares_shared_dependencies():
 
 def test_unattached_anti_entropy_fails_loud():
     from repro.storage.antientropy import AntiEntropy
-    from repro.storage.quorum import ReplicatedStore
 
     ae = AntiEntropy(interval=5.0)
     with pytest.raises(ServiceError, match="no attached store"):
         ae.start()
     with pytest.raises(ServiceError, match="no attached store"):
         ae.sweep()
-    with pytest.raises(ServiceError, match="no attached store"):
-        AntiEntropy(ReplicatedStore(), interval=5.0).sweep()
-
-
-def test_legacy_anti_entropy_constructor_warns():
-    from repro.storage.antientropy import AntiEntropy
-    from repro.storage.quorum import ReplicatedStore
-
-    cluster = make_cluster(n=8)
-    with pytest.deprecated_call():
-        store = ReplicatedStore(cluster.net)
-    with pytest.deprecated_call():
-        AntiEntropy(store, interval=5.0)
+    # The store is always the attached 'storage' service.
+    with pytest.raises(ServiceError, match="requires 'storage'"):
+        make_cluster(n=8).add_service(ae)
 
 
 def test_replacement_refused_while_dependents_attached():
@@ -401,14 +361,6 @@ def test_conflicting_handler_claims_are_refused():
     assert cluster.service("thief") is None
     assert cluster.storage.put("k", 1).ok
     cluster.shutdown()
-
-
-def test_cluster_net_wrap_rejects_conflicting_args():
-    cluster = make_cluster(n=8)
-    with pytest.raises(ValueError, match="existing network"):
-        Cluster(seed=5, net=cluster.net)
-    wrapped = Cluster(net=cluster.net)  # bare wrap is fine
-    assert wrapped.net is cluster.net
 
 
 # ----------------------------------------------------- churn survivability

@@ -4,23 +4,16 @@ stealing, and scheduler failover."""
 
 import pytest
 
-from repro import (
-    ComputeConfig,
-    JobScheduler,
-    JobSpec,
-    TreePConfig,
-    TreePNetwork,
-)
+from repro import Cluster, ComputeConfig, JobSpec, TreePConfig
 from repro.compute.job import JobState, checkpoint_key
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.services.discovery import Constraint
 
 
-def make_grid(n=48, seed=7, **cfg_kwargs):
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
-    net.build(n)
-    grid = JobScheduler(net, config=ComputeConfig(**cfg_kwargs))
-    return net, grid
+def make_grid(n=48, seed=7, loss=0.0, **cfg_kwargs):
+    cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed, loss=loss)
+               .build(n).with_compute(ComputeConfig(**cfg_kwargs)))
+    return cluster.net, cluster.compute
 
 
 def kill(net, grid, victims):
@@ -249,9 +242,7 @@ def test_stealing_disabled_still_completes():
 def test_lossy_network_still_completes_every_job():
     """Datagram loss drops submissions, dispatches and heartbeats; the
     client retry + monitor re-place machinery must still land every job."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7, loss=0.15)
-    net.build(48)
-    grid = JobScheduler(net, config=ComputeConfig())
+    net, grid = make_grid(loss=0.15)
     for i in range(6):
         grid.submit(JobSpec(job_id=i + 1, work=10.0))
     assert grid.run_until_done(timeout=800.0)

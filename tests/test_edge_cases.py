@@ -196,20 +196,3 @@ class TestDeterminismAcrossComponents:
                 assert sa.failure_rate == sb.failure_rate
                 assert sa.hops_mean == sb.hops_mean
                 assert sa.failed_hops_max == sb.failed_hops_max
-
-    def test_tracer_does_not_change_results(self):
-        """RNG isolation: enabling tracing must not perturb outcomes."""
-        from repro.sim.trace import Tracer
-        res = []
-        for tracer in (None, Tracer()):
-            kwargs = {"tracer": tracer} if tracer else {}
-            net = TreePNetwork(config=TreePConfig.paper_case1(), seed=13, **kwargs)
-            net.build(48)
-            rng = np.random.default_rng(0)
-            out = []
-            for _ in range(10):
-                o, t = (int(x) for x in rng.choice(net.ids, 2, replace=False))
-                r = net.lookup_sync(o, t, "G")
-                out.append((r.found, r.hops))
-            res.append(out)
-        assert res[0] == res[1]

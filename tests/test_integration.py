@@ -118,12 +118,12 @@ class TestEndToEndSweep:
 
 class TestServicesUnderStress:
     def test_dht_and_discovery_after_sweep(self):
-        from repro.services import ResourceDirectory, TreePDht
+        from repro import Cluster
         from repro.services.discovery import Constraint
 
-        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=31)
-        net.build(96)
-        dht = TreePDht(net, replicas=3)
+        cluster = (Cluster(config=TreePConfig.paper_case1(), seed=31)
+                   .build(96).with_dht(replicas=3))
+        net, dht = cluster.net, cluster.dht
         for i in range(20):
             assert dht.put(f"key{i}", i).found
         rng = np.random.default_rng(3)
@@ -134,7 +134,7 @@ class TestServicesUnderStress:
         hits = sum(dht.get(f"key{i}", via=alive[i % len(alive)]).found
                    for i in range(20))
         assert hits >= 14
-        directory = ResourceDirectory(net)
+        directory = cluster.with_discovery().directory
         res = directory.query(Constraint(min_cpu=2), max_results=3)
         for m in res.matches:
             assert net.network.is_up(m)

@@ -1,4 +1,4 @@
-"""SLO tier: spec parsing (TOML/JSON + the py<3.11 fallback parser),
+"""SLO tier: spec parsing (TOML/JSON),
 offline evaluation of every rule kind, the streaming monitor's live
 violation events, schedule-neutrality, and the bench ``--slo`` gate."""
 
@@ -13,7 +13,7 @@ from repro.cluster import Cluster
 from repro.obs import (STATUS_FAIL, STATUS_OK, STATUS_TIMEOUT, ObsHub,
                        SloSpec, TraceReader, evaluate_hub, evaluate_store,
                        load_slo, parse_slo, write_store)
-from repro.obs.slo import StreamingSloMonitor, _parse_minimal_toml
+from repro.obs.slo import StreamingSloMonitor
 
 SPEC_TOML = """
 # latency + rates on one category, wildcard error budget
@@ -54,11 +54,6 @@ def test_parse_json_spec(tmp_path):
         {"slo": {"lookup": {"p999": 1.0, "max_failure_rate": 0.2}}}))
     spec = load_slo(str(path))
     assert _rule_names(spec) == ["lookup.failure_rate", "lookup.p999"]
-
-
-def test_minimal_toml_parser_agrees_with_tomllib():
-    tomllib = pytest.importorskip("tomllib")
-    assert _parse_minimal_toml(SPEC_TOML) == tomllib.loads(SPEC_TOML)
 
 
 @pytest.mark.parametrize("data, fragment", [

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.services import TreePDht
 from repro.services.dht import hash_key
+
+
+def _dht(seed, n, replicas):
+    """A built overlay and its DHT, attached through `Cluster`."""
+    cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
+               .build(n).with_dht(replicas=replicas))
+    return cluster.net, cluster.dht
 
 
 @pytest.fixture(scope="module")
 def dht_net():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
-    net.build(96)
-    return net, TreePDht(net, replicas=2)
+    return _dht(21, 96, 2)
 
 
 def test_hash_key_stable_and_in_space():
@@ -79,16 +83,13 @@ def test_stored_keys_inventory(dht_net):
 
 
 def test_replicas_validation():
-    net = TreePNetwork(seed=1)
-    net.build(8)
+    cluster = Cluster(seed=1).build(8)
     with pytest.raises(ValueError):
-        TreePDht(net, replicas=0)
+        cluster.with_dht(replicas=0)
 
 
 def test_survives_failures():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=33)
-    net.build(96)
-    dht = TreePDht(net, replicas=3)
+    net, dht = _dht(33, 96, 3)
     keys = [f"k{i}" for i in range(40)]
     for k in keys:
         assert dht.put(k, k.upper()).found
@@ -105,9 +106,7 @@ def test_survives_failures():
 def test_client_ops_return_while_maintenance_runs():
     """Regression: put/get must not drain forever into the self-re-arming
     keep-alive timers."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=13)
-    net.build(32)
-    dht = TreePDht(net, replicas=2)
+    net, dht = _dht(13, 32, 2)
     net.start_maintenance()
     net.sim.max_events = 500_000  # fail loudly instead of hanging
     try:

@@ -3,22 +3,32 @@
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig
 from repro.services.discovery import Aggregate, Constraint, ResourceDirectory
 from repro.workloads import grid_cluster_mix
 
 
 @pytest.fixture(scope="module")
 def grid():
-    net = TreePNetwork(config=TreePConfig.paper_case2(), seed=13)
-    rng = np.random.default_rng(13)
-    net.build(256, capacities=grid_cluster_mix(256, rng, server_fraction=0.15))
-    return net, ResourceDirectory(net)
+    return _grid(13, 256, server_fraction=0.15)
+
+
+def _grid(seed, n, server_fraction):
+    """A grid-mix overlay and its directory, attached through `Cluster`."""
+    rng = np.random.default_rng(seed)
+    cluster = (Cluster(config=TreePConfig.paper_case2(), seed=seed)
+               .build(n, capacities=grid_cluster_mix(
+                   n, rng, server_fraction=server_fraction))
+               .with_discovery())
+    return cluster.net, cluster.directory
 
 
 def test_requires_built_network():
+    cluster = Cluster(seed=0)
     with pytest.raises(RuntimeError):
-        ResourceDirectory(TreePNetwork(seed=0))
+        cluster.with_discovery()
+    with pytest.raises(RuntimeError):  # the service's own guard
+        cluster.add_service(ResourceDirectory())
 
 
 def test_constraint_admits():
@@ -83,10 +93,7 @@ def test_query_from_any_origin(grid):
 
 
 def test_refresh_after_failures(grid):
-    net = TreePNetwork(config=TreePConfig.paper_case2(), seed=14)
-    rng = np.random.default_rng(14)
-    net.build(128, capacities=grid_cluster_mix(128, rng, server_fraction=0.2))
-    directory = ResourceDirectory(net)
+    net, directory = _grid(14, 128, server_fraction=0.2)
     c = Constraint(min_cpu=16)
     before = directory.query(c, max_results=32).matches
     net.fail_nodes(before)  # kill every matching server

@@ -3,9 +3,9 @@ peers, and must find rejoined capacity again."""
 
 import numpy as np
 
-from repro import CapacityDistribution, NodeCapacity, TreePConfig, TreePNetwork
+from repro import CapacityDistribution, Cluster, NodeCapacity, TreePConfig
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.services.discovery import Constraint, ResourceDirectory
+from repro.services.discovery import Constraint
 from repro.workloads import ChurnSchedule
 from repro.workloads.churn import ChurnEvent
 
@@ -16,13 +16,15 @@ SUPER_CONSTRAINT = Constraint(min_cpu=32.0, min_memory_gb=128.0)
 
 
 def build_net(seed=13):
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
+    """The overlay, its resource directory and the one super node's id."""
     rng = np.random.default_rng(seed)
     caps = CapacityDistribution(rng).sample_many(N_NODES)
     caps[0] = SUPER  # exactly one peer satisfies SUPER_CONSTRAINT
-    net.build(N_NODES, capacities=caps)
+    cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
+               .build(N_NODES, capacities=caps).with_discovery())
+    net = cluster.net
     super_id = next(i for i in net.ids if net.capacities[i] is SUPER)
-    return net, super_id
+    return net, cluster.directory, super_id
 
 
 def replay(net, directory, events):
@@ -40,8 +42,7 @@ def replay(net, directory, events):
 
 
 def test_queries_never_return_dead_peers_across_sampled_churn():
-    net, _ = build_net()
-    directory = ResourceDirectory(net)
+    net, directory, _ = build_net()
     schedule = ChurnSchedule.sampled(
         net.ids, net.rng.get("discovery-churn"), duration=300.0,
         mean_uptime=150.0, mean_downtime=60.0)
@@ -67,8 +68,7 @@ def test_queries_never_return_dead_peers_across_sampled_churn():
 
 
 def test_rejoined_capacity_is_found_again():
-    net, super_id = build_net()
-    directory = ResourceDirectory(net)
+    net, directory, super_id = build_net()
     origin = next(i for i in net.ids if i != super_id)
 
     res = directory.query(SUPER_CONSTRAINT, origin=origin)
@@ -99,8 +99,7 @@ def test_rejoined_capacity_is_found_again():
 def test_stale_directory_is_the_hazard_refresh_removes():
     """Without refresh() a post-churn query can return dead peers — the
     regression the refresh contract exists to prevent."""
-    net, super_id = build_net()
-    directory = ResourceDirectory(net)
+    net, directory, super_id = build_net()
     net.fail_nodes([super_id])
     apply_failure_step(net, [super_id], FULL_POLICY)
     # No refresh: the aggregate still admits, and the walk may surface the

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig
 from repro.services.loadbalance import LoadBalancer, Task
 from repro.workloads import grid_cluster_mix, homogeneous_mix
 
 
 @pytest.fixture()
 def lb_net():
-    net = TreePNetwork(config=TreePConfig.paper_case2(), seed=17)
     rng = np.random.default_rng(17)
-    net.build(128, capacities=grid_cluster_mix(128, rng, server_fraction=0.2))
-    return net, LoadBalancer(net)
+    return _balanced(TreePConfig.paper_case2(), 17,
+                     grid_cluster_mix(128, rng, server_fraction=0.2))
+
+
+def _balanced(config, seed, capacities):
+    """A built overlay and its load balancer, attached through `Cluster`."""
+    cluster = (Cluster(config=config, seed=seed)
+               .build(len(capacities), capacities=capacities)
+               .with_loadbalance())
+    return cluster.net, cluster.balancer
 
 
 def test_task_validation():
@@ -22,8 +29,11 @@ def test_task_validation():
 
 
 def test_requires_built_network():
+    cluster = Cluster(seed=0)
     with pytest.raises(RuntimeError):
-        LoadBalancer(TreePNetwork(seed=0))
+        cluster.with_loadbalance()
+    with pytest.raises(RuntimeError):  # the service's own guard
+        cluster.add_service(LoadBalancer())
 
 
 def test_place_lands_on_live_node_with_headroom(lb_net):
@@ -60,9 +70,8 @@ def test_placements_prefer_strong_nodes(lb_net):
 
 
 def test_saturation_returns_none():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=3)
-    net.build(16, capacities=homogeneous_mix(16, cpu=1.0))
-    lb = LoadBalancer(net)
+    net, lb = _balanced(TreePConfig.paper_case1(), 3,
+                        homogeneous_mix(16, cpu=1.0))
     results = lb.place_many([Task(i, 1.0) for i in range(40)])
     placed = [p for p in results if p.node is not None]
     unplaced = [p for p in results if p.node is None]
@@ -163,10 +172,11 @@ class _CountingBalancer(LoadBalancer):
 
 
 def _calls_per_place(n, seed=23, tasks=20):
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     rng = np.random.default_rng(seed)
-    net.build(n, capacities=grid_cluster_mix(n, rng, server_fraction=0.2))
-    lb = _CountingBalancer(net)
+    lb = _CountingBalancer()
+    (Cluster(config=TreePConfig.paper_case1(), seed=seed)
+     .build(n, capacities=grid_cluster_mix(n, rng, server_fraction=0.2))
+     .add_service(lb))
     lb.counting = True
     lb.place_many([Task(i, 0.5) for i in range(tasks)])
     return lb.calls / tasks

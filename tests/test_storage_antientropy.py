@@ -2,26 +2,25 @@
 
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
+from repro.storage import AntiEntropy, QuorumConfig
 from repro.storage.store import VersionedValue
 
 
 @pytest.fixture()
 def loaded():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
-    net.build(96)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    cluster = (Cluster(config=TreePConfig.paper_case1(), seed=21).build(96)
+               .with_storage(QuorumConfig(n=3, w=2, r=2), anti_entropy=10.0))
+    store = cluster.storage
     keys = [f"k{i}" for i in range(20)]
     for k in keys:
         assert store.put(k, k.upper()).ok
-    return net, store, keys
+    return cluster.net, store, cluster.anti_entropy, keys
 
 
 def test_clean_sweep_on_healthy_store(loaded):
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     # The first passes may relocate copies onto the global placement ideal;
     # once aligned, sweeps are clean.
     ae.converge()
@@ -34,8 +33,7 @@ def test_clean_sweep_on_healthy_store(loaded):
 def test_relocates_replicas_onto_new_closer_nodes(loaded):
     """Regression: the sweep follows the placement ideal as the topology
     grows, so routed reads keep landing on holders after joins."""
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     ae.converge()
     key_id = store.key_id(keys[0])
     # Three new nodes join right next to the key: they become the ideal
@@ -55,8 +53,7 @@ def test_relocates_replicas_onto_new_closer_nodes(loaded):
 
 
 def test_detects_and_repairs_under_replication(loaded):
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     # Kill one replica of a specific key.
     key_id = store.key_id(keys[0])
     victim = store.replica_map()[key_id][-1]
@@ -71,8 +68,7 @@ def test_detects_and_repairs_under_replication(loaded):
 
 
 def test_converge_restores_full_replication_after_mass_failure(loaded):
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     victims = net.ids[::7]  # ~14%, deterministic
     net.fail_nodes(victims)
     apply_failure_step(net, victims, FULL_POLICY)
@@ -84,8 +80,7 @@ def test_converge_restores_full_replication_after_mass_failure(loaded):
 
 
 def test_stale_rejoiner_overwritten(loaded):
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     key_id = store.key_id(keys[3])
     victim = store.replica_map()[key_id][-1]
     # The victim goes down, misses an overwrite, then rejoins stale.
@@ -102,8 +97,7 @@ def test_stale_rejoiner_overwritten(loaded):
 
 
 def test_periodic_scheduling_with_simulator(loaded):
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     ae.start()
     assert ae.running
     # A replica dies; the timer-driven sweeps repair it as sim time passes.
@@ -121,15 +115,13 @@ def test_periodic_scheduling_with_simulator(loaded):
     assert ae.tracker.latest().under_replicated == 0
 
 
-def test_interval_validation(loaded):
-    net, store, _ = loaded
+def test_interval_validation():
     with pytest.raises(ValueError):
-        AntiEntropy(store, interval=0)
+        AntiEntropy(interval=0)
 
 
 def test_lost_key_reported(loaded):
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     key_id = store.key_id(keys[5])
     for holder in store.replica_map()[key_id]:
         net.network.set_down(holder)
@@ -142,8 +134,7 @@ def test_stale_copy_outside_target_set_reconciled(loaded):
     """A stale copy parked on a node that is *not* a placement target is
     still overwritten — otherwise a later failure burst could route reads
     onto it and resurrect the old value."""
-    net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    net, store, ae, keys = loaded
     ae.converge()
     key_id = store.key_id(keys[4])
     fresh = max(

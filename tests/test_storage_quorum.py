@@ -4,16 +4,25 @@ from itertools import combinations
 
 import pytest
 
-from repro import TreePConfig, TreePNetwork
-from repro.storage import QuorumConfig, ReplicatedStore
+from repro import Cluster, TreePConfig, TreePNetwork
+from repro.storage import QuorumConfig
 from repro.storage.store import VersionedValue
+
+
+def _cluster(seed, n, quorum, **storage):
+    return (Cluster(config=TreePConfig.paper_case1(), seed=seed)
+            .build(n).with_storage(quorum, **storage))
+
+
+def _store(seed, n, quorum):
+    """A built overlay and its quorum store, attached through `Cluster`."""
+    cluster = _cluster(seed, n, quorum)
+    return cluster.net, cluster.storage
 
 
 @pytest.fixture()
 def store_net():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
-    net.build(96)
-    return net, ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    return _store(21, 96, QuorumConfig(n=3, w=2, r=2))
 
 
 # ------------------------------------------------------------- quorum math
@@ -123,9 +132,7 @@ def test_read_sees_latest_acknowledged_write_with_overlap(store_net):
 
 # ------------------------------------------------------- degraded operation
 def test_write_times_out_sloppily_when_replicas_dead():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=3, r=1))
+    net, store = _store(9, 32, QuorumConfig(n=3, w=3, r=1))
     r0 = store.put("seed-key", 0)  # discover the placement
     assert r0.ok
     holders = store.replica_map()[r0.key_id]
@@ -144,9 +151,7 @@ def test_write_times_out_sloppily_when_replicas_dead():
 
 
 def test_read_fallback_zero_disables_exploration():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=1, r=1, read_fallback=0))
+    net, store = _store(9, 32, QuorumConfig(n=2, w=1, r=1, read_fallback=0))
     assert store.put("k", "v").ok
     assert store.get("k").found
 
@@ -154,12 +159,8 @@ def test_read_fallback_zero_disables_exploration():
 def test_client_ops_return_while_periodic_antientropy_runs():
     """Regression: put/get must not drain forever into the self-re-arming
     anti-entropy timer schedule."""
-    from repro.storage import AntiEntropy
-
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=11)
-    net.build(48)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
-    ae = AntiEntropy(store, interval=5.0)
+    cluster = _cluster(11, 48, QuorumConfig(n=3, w=2, r=2), anti_entropy=5.0)
+    net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
     ae.start()
     net.sim.max_events = 500_000  # fail loudly instead of hanging
     try:
@@ -178,9 +179,8 @@ def test_acknowledged_write_survives_version_restart():
     from repro.core.repair import FULL_POLICY, apply_failure_step
     from repro.storage import AntiEntropy
 
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
-    net.build(96)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    cluster = _cluster(21, 96, QuorumConfig(n=3, w=2, r=2))
+    net, store = cluster.net, cluster.storage
     for v in range(5):  # drive the version counter to 5
         assert store.put("restart", f"old-{v}").ok
     holders = store.replica_map()[store.key_id("restart")]
@@ -192,7 +192,7 @@ def test_acknowledged_write_survives_version_restart():
     back = holders[0]
     net.network.set_up(back)
     assert store.agents[back].store.get(store.key_id("restart")).version == 5
-    AntiEntropy(store, interval=10.0).converge()
+    cluster.add_service(AntiEntropy(interval=10.0)).anti_entropy.converge()
     g = store.get("restart")
     assert g.found and g.value == "NEW"  # no resurrection
     # The stale copy was overwritten everywhere, timestamps deciding LWW.
@@ -203,9 +203,7 @@ def test_later_write_dominates_regressed_replica():
     """The coordination timestamp leads the LWW stamp, so a new write wins
     even when a replica (here: the coordinator itself) carries a mangled
     higher-looking version counter."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    net, store = _store(9, 32, QuorumConfig(n=3, w=2, r=2))
     r0 = store.put("bump", "a")
     key_id = r0.key_id
     holders = store.replica_map()[key_id]
@@ -221,9 +219,7 @@ def test_later_write_dominates_regressed_replica():
 
 
 def test_close_detaches_node_hook():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=1, r=1))
+    net, store = _store(9, 32, QuorumConfig(n=2, w=1, r=1))
     before = len(net.node_hooks)
     store.close()
     assert len(net.node_hooks) == before - 1
@@ -236,9 +232,8 @@ def test_close_detaches_node_hook():
 def test_write_finishes_immediately_when_targets_below_w():
     """A coordinator that cannot name w targets must not idle out the full
     quorum timeout waiting for acks that can never arrive."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(2)  # placement can name at most 2 targets
-    store = ReplicatedStore(net, QuorumConfig(n=4, w=4, r=1, timeout=5.0))
+    # Two nodes: placement can name at most 2 targets.
+    net, store = _store(9, 2, QuorumConfig(n=4, w=4, r=1, timeout=5.0))
     t0 = net.sim.now
     r = store.put("thin", 1)
     assert not r.ok  # w=4 unattainable with 2 nodes...
@@ -267,9 +262,7 @@ def test_pump_honours_max_events():
 
 
 def test_live_origin_rejects_down_via():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(16)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=1, r=1))
+    net, store = _store(9, 16, QuorumConfig(n=2, w=1, r=1))
     net.network.set_down(net.ids[3])
     with pytest.raises(ValueError):
         store.put("x", 1, via=net.ids[3])
@@ -280,9 +273,7 @@ def test_live_origin_rejects_down_via():
 def test_r1_read_waits_for_real_holders_not_self_miss():
     """A coordinator that doesn't hold the key must not satisfy r=1 with
     its own instantaneous miss while the holders' replies are in flight."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
-    net.build(96)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=1, read_fallback=0))
+    net, store = _store(21, 96, QuorumConfig(n=3, w=2, r=1, read_fallback=0))
     r = store.put("selfmiss", "v")
     assert r.ok
     key_id = r.key_id
@@ -303,9 +294,7 @@ def test_equal_stamp_replicate_counts_as_ack():
     from repro.core.messages import StoreReplicate
     from repro.storage.quorum import _PendingWrite
 
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=2, r=1))
+    net, store = _store(9, 32, QuorumConfig(n=2, w=2, r=1))
     c, x = net.ids[0], net.ids[1]
     key_id, stamp = 12345, (7.0, 3, 9)
     # The replica already holds the exact stamp the fanout will carry.
