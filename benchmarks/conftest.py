@@ -12,8 +12,9 @@ results record), and writes the same ``benchmarks/out/bench_<name>.json``
 one perf trajectory.
 
 The two underlying figure sweeps (case 1 / case 2) stay memoised per
-process (:mod:`repro.experiments.cache`): the first figure bench touching
-a case pays for its sweep, the rest measure only extraction + rendering.
+process (``_run_sweep`` in :mod:`repro.bench.scenarios.figures`): the first
+figure bench touching a case pays for its sweep, the rest measure only
+extraction + rendering.
 """
 
 import os

@@ -28,7 +28,10 @@ Public surface:
   dependencies and sibling work stealing.
 * :mod:`repro.baselines` — Chord and flooding comparators on the same
   simulated substrate.
-* :mod:`repro.experiments` — one runner per figure of the paper's §IV.
+* :mod:`repro.experiments` — the §IV failure sweep whose views are the
+  paper's nine figures, plus the NGSA-cost, table-size and ablation
+  experiments; rendered by the ``repro.bench`` scenarios
+  (``python -m repro.bench run figure_a``).
 * :mod:`repro.bench` — the unified benchmark harness:
   ``python -m repro.bench run|list|compare|report|campaign`` over 23
   declarative scenarios — including the ``scale_*`` 10k-node sweeps

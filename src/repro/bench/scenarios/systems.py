@@ -90,12 +90,23 @@ def _core(params, seed, smoke):
 
 # -------------------------------------------------------------- table sizes
 
+def _size_table(rows: List[table_sizes.SizeRow], case: str, n: int) -> str:
+    return table(
+        ["node class", "count", "entries mean", "entries max",
+         "paper bound", "connections mean", "paper bound"],
+        [[r.node_class, r.count, r.entries_mean, r.entries_max,
+          r.entries_bound, r.connections_mean, r.connections_bound]
+         for r in rows],
+        title=f"§III.e routing-table sizes, measured vs paper ({case}, n={n})",
+    )
+
+
 def _table_sizes(params, seed, smoke):
     n = params["n"]
     rows1 = table_sizes.run(n=n, seed=seed, case="case1")
     rows2 = table_sizes.run(n=n, seed=seed, case="case2")
-    rendered = "\n\n".join([table_sizes.render(n=n, seed=seed, case="case1"),
-                            table_sizes.render(n=n, seed=seed, case="case2")])
+    rendered = "\n\n".join([_size_table(rows1, "case1", n),
+                            _size_table(rows2, "case2", n)])
     classes = {r.node_class: r for r in rows1}
     leaf = classes["level-0 only"]
     metrics = {
@@ -124,9 +135,8 @@ def _table_sizes(params, seed, smoke):
 # ---------------------------------------------------------------- ngsa cost
 
 def _ngsa_cost(params, seed, smoke):
-    kw = dict(n=params["n"], seed=seed, lookups=params["lookups"],
-              dead_fraction=params["dead_fraction"])
-    out = ngsa_cost.run(**kw)
+    n, lookups, dead = params["n"], params["lookups"], params["dead_fraction"]
+    out = ngsa_cost.run(n=n, seed=seed, lookups=lookups, dead_fraction=dead)
     g, ng, ngsa = out["G"], out["NG"], out["NGSA"]
     ngsa_bpm = ngsa.bytes_per_lookup / max(ngsa.messages_per_lookup, 1e-9)
     ng_bpm = ng.bytes_per_lookup / max(ng.messages_per_lookup, 1e-9)
@@ -146,7 +156,14 @@ def _ngsa_cost(params, seed, smoke):
               all(c.success_rate >= 0.7 for c in out.values()),
               f"min success {min(c.success_rate for c in out.values()):.2f}"),
     ]
-    return ScenarioOutput(metrics, checks, ngsa_cost.render(**kw))
+    rendered = table(
+        ["algorithm", "success", "avg hops", "msgs/lookup", "bytes/lookup"],
+        [[c.algorithm, c.success_rate, c.avg_hops, c.messages_per_lookup,
+          c.bytes_per_lookup] for c in out.values()],
+        title=(f"NGSA cost-benefit (§IV.a), n={n}, {dead:.0%} dead nodes, "
+               f"{lookups} lookups"),
+    )
+    return ScenarioOutput(metrics, checks, rendered)
 
 
 # ---------------------------------------------------------------- baselines

@@ -1,12 +1,14 @@
-"""Experiment drivers — one module per figure of the paper's §IV.
+"""Experiment drivers — the computations behind the paper's figures and tables.
 
-All figures derive from the same protocol (build a TreeP network, reach
-steady state, disconnect 5% of the initial population per step with no
-repopulation, measure a lookup batch per step), so everything funnels
-through :func:`repro.experiments.common.run_failure_sweep`.  Results are
-memoised per configuration (see :mod:`repro.experiments.cache`) so the nine
-figure benches share the two underlying sweeps (case 1 fixed ``nc``, case 2
-variable ``nc``).
+All nine §IV figures derive from the same protocol (build a TreeP network,
+reach steady state, disconnect 5% of the initial population per step with
+no repopulation, measure a lookup batch per step), so they are views of
+:func:`repro.experiments.common.run_failure_sweep`; the other experiments
+(:mod:`~repro.experiments.ngsa_cost`, :mod:`~repro.experiments.table_sizes`,
+:mod:`~repro.experiments.ablations`) reuse its failure loop,
+:func:`~repro.experiments.common.failure_steps`.  This package only
+computes: the ``repro.bench`` scenarios render each figure and table
+(``python -m repro.bench run figure_a``).
 """
 
 from repro.experiments.common import (
@@ -15,12 +17,10 @@ from repro.experiments.common import (
     SweepResult,
     run_failure_sweep,
 )
-from repro.experiments.cache import sweep_cached
 
 __all__ = [
     "StepRecord",
     "SweepConfig",
     "SweepResult",
     "run_failure_sweep",
-    "sweep_cached",
 ]

@@ -1,6 +1,8 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for TreeP's design choices (§III, §VI).
 
-Each function isolates one mechanism and returns comparable series/rows:
+Each function isolates one mechanism and returns comparable series/rows;
+the ``ablation_*`` bench scenarios listed in ``docs/benchmarks.md``
+render and check them:
 
 * :func:`id_assignment` — random vs hash vs balanced IDs (§III + §VI):
   effect on tree balance and hop counts.
@@ -21,14 +23,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.config import TreePConfig
-from repro.core.repair import (
-    FULL_POLICY,
-    PAPER_POLICY,
-    PURGE_ONLY_POLICY,
-    apply_failure_step,
-)
+from repro.core.repair import FULL_POLICY, PAPER_POLICY, PURGE_ONLY_POLICY
 from repro.core.treep import TreePNetwork
-from repro.sim.failures import FailureSchedule
+from repro.experiments.common import failure_steps
 from repro.workloads.lookups import LookupWorkload
 
 
@@ -104,12 +101,8 @@ def euclidean_fallback(
         cfg = TreePConfig.paper_case1(euclidean_fallback=enabled)
         net = TreePNetwork(config=cfg, seed=seed)
         net.build(n)
-        rng = net.rng.get("sweep")
-        schedule = FailureSchedule(net.ids, rng)
         surviving: Tuple[int, ...] = ()
-        for step in schedule.steps():
-            schedule.apply_step(net.network, step)
-            apply_failure_step(net, step.newly_failed, PAPER_POLICY)
+        for step in failure_steps(net):
             surviving = step.surviving
             if step.cumulative_failed_fraction >= 0.5:
                 break
@@ -136,12 +129,8 @@ def repair_mechanisms(
     for name, policy in policies.items():
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
-        rng = net.rng.get("sweep")
-        schedule = FailureSchedule(net.ids, rng)
         surviving = ()
-        for step in schedule.steps():
-            schedule.apply_step(net.network, step)
-            apply_failure_step(net, step.newly_failed, policy)
+        for step in failure_steps(net, policy):
             surviving = step.surviving
             if step.cumulative_failed_fraction >= 0.3:
                 break

@@ -16,7 +16,7 @@ Both experimental cases are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Sequence, Tuple
+from typing import Dict, Iterator, List, Literal, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.repair import PAPER_POLICY, RepairPolicy, apply_failure_step
 from repro.core.treep import TreePNetwork
 from repro.metrics.series import Series
 from repro.metrics.stats import LookupBatchStats, summarize_batch
-from repro.sim.failures import FailureSchedule
+from repro.sim.failures import FailureSchedule, FailureStep
 from repro.workloads.lookups import LookupWorkload
 
 Case = Literal["case1", "case2"]
@@ -43,11 +43,7 @@ class SweepConfig:
     n: int = 1024
     seed: int = 42
     case: Case = "case1"
-    algorithms: Tuple[str, ...] = ALGORITHMS
     lookups_per_step: int = 200
-    step_fraction: float = 0.05
-    stop_fraction: float = 0.05
-    policy: RepairPolicy = PAPER_POLICY
 
     def treep_config(self) -> TreePConfig:
         if self.case == "case1":
@@ -98,12 +94,11 @@ class SweepResult:
             smin.add(100.0 * r.failed_fraction, st.failed_hops_min)
         return smax, smin
 
-    def surface(self, algo: str, max_hops: int = 30) -> "HopSurface":
-        """The 3-D data of Figures F-I for one algorithm."""
+    def surface(self, algo: str) -> "HopSurface":
+        """The 3-D data of Figures F-I for one algorithm (0-30 hops)."""
         fracs = [100.0 * r.failed_fraction for r in self.records]
-        rows = [r.per_algo[algo].hops_histogram.row(max_hops) for r in self.records]
-        return HopSurface(algo=algo, failed_percent=fracs, max_hops=max_hops,
-                          percent_rows=rows)
+        rows = [r.per_algo[algo].hops_histogram.row() for r in self.records]
+        return HopSurface(algo=algo, failed_percent=fracs, percent_rows=rows)
 
 
 @dataclass
@@ -112,7 +107,6 @@ class HopSurface:
 
     algo: str
     failed_percent: List[float]
-    max_hops: int
     percent_rows: List[List[float]]  # indexed [step][hops]
 
     def as_array(self) -> np.ndarray:
@@ -144,6 +138,22 @@ def _failed_hop_counts(net: TreePNetwork, failed: Sequence[LookupResult]) -> Lis
     return out
 
 
+def failure_steps(
+    net: TreePNetwork, policy: RepairPolicy = PAPER_POLICY
+) -> Iterator[FailureStep]:
+    """Run §IV's failure protocol on a built network, one step per ``next``.
+
+    Each step crash-stops 5% of the initial population (drawn from the
+    ``"sweep"`` stream, no repopulation), heals the survivors under
+    *policy*, then yields the step; the last step leaves 5% alive.
+    """
+    schedule = FailureSchedule(net.ids, net.rng.get("sweep"))
+    for step in schedule.steps():
+        schedule.apply_step(net.network, step)
+        apply_failure_step(net, step.newly_failed, policy)
+        yield step
+
+
 def run_failure_sweep(config: SweepConfig) -> SweepResult:
     """Execute one full sweep (the engine behind Figures A-I)."""
     cluster = Cluster(config=config.treep_config(), seed=config.seed).build(config.n)
@@ -151,21 +161,13 @@ def run_failure_sweep(config: SweepConfig) -> SweepResult:
     layout = cluster.layout
     result = SweepResult(config=config, height=layout.height, initial_n=config.n)
 
-    rng = net.rng.get("sweep")
-    schedule = FailureSchedule(
-        net.ids, rng,
-        step_fraction=config.step_fraction,
-        stop_fraction=config.stop_fraction,
-    )
     workload = LookupWorkload(rng=net.rng.get("workload"))
 
-    for step in schedule.steps():
-        schedule.apply_step(net.network, step)
-        apply_failure_step(net, step.newly_failed, config.policy)
+    for step in failure_steps(net):
         if len(step.surviving) < 2:
             break
         per_algo: Dict[str, LookupBatchStats] = {}
-        for algo in config.algorithms:
+        for algo in ALGORITHMS:
             pairs = workload.pairs(step.surviving, config.lookups_per_step)
             results = net.run_lookup_batch(pairs, algo)
             failed = [r for r in results if not r.found]

@@ -20,10 +20,8 @@ from typing import Dict
 import numpy as np
 
 from repro.core.config import TreePConfig
-from repro.core.repair import PAPER_POLICY, apply_failure_step
 from repro.core.treep import TreePNetwork
-from repro.sim.failures import FailureSchedule
-from repro.viz.ascii import table
+from repro.experiments.common import ALGORITHMS, failure_steps
 from repro.workloads.lookups import LookupWorkload
 
 
@@ -47,13 +45,9 @@ def run(
         raise ValueError(f"dead_fraction must be in [0, 0.95), got {dead_fraction}")
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
-    rng = net.rng.get("sweep")
     surviving = list(net.ids)
     if dead_fraction > 0:
-        schedule = FailureSchedule(net.ids, rng)
-        for step in schedule.steps():
-            schedule.apply_step(net.network, step)
-            apply_failure_step(net, step.newly_failed, PAPER_POLICY)
+        for step in failure_steps(net):
             surviving = list(step.surviving)
             if step.cumulative_failed_fraction >= dead_fraction:
                 break
@@ -62,7 +56,7 @@ def run(
     pairs = workload.pairs(surviving, lookups)
 
     out: Dict[str, AlgoCost] = {}
-    for algo in ("G", "NG", "NGSA"):
+    for algo in ALGORITHMS:
         before = net.network.stats
         sent0, bytes0 = before.sent, before.bytes_sent
         results = net.run_lookup_batch(pairs, algo)
@@ -77,19 +71,3 @@ def run(
         )
     return out
 
-
-def render(
-    n: int = 1024, seed: int = 42, lookups: int = 300, dead_fraction: float = 0.30
-) -> str:
-    out = run(n=n, seed=seed, lookups=lookups, dead_fraction=dead_fraction)
-    return table(
-        ["algorithm", "success", "avg hops", "msgs/lookup", "bytes/lookup"],
-        [[c.algorithm, c.success_rate, c.avg_hops, c.messages_per_lookup,
-          c.bytes_per_lookup] for c in out.values()],
-        title=(f"NGSA cost-benefit (§IV.a), n={n}, "
-               f"{dead_fraction:.0%} dead nodes, {lookups} lookups"),
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render())

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
-from repro.viz.ascii import table
 
 
 @dataclass(frozen=True)
@@ -103,18 +102,3 @@ def run(n: int = 1024, seed: int = 42, case: str = "case1") -> List[SizeRow]:
         ))
     return rows
 
-
-def render(n: int = 1024, seed: int = 42, case: str = "case1") -> str:
-    rows = run(n=n, seed=seed, case=case)
-    return table(
-        ["node class", "count", "entries mean", "entries max",
-         "paper bound", "connections mean", "paper bound"],
-        [[r.node_class, r.count, r.entries_mean, r.entries_max,
-          r.entries_bound, r.connections_mean, r.connections_bound]
-         for r in rows],
-        title=f"§III.e routing-table sizes, measured vs paper ({case}, n={n})",
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render())

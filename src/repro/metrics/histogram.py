@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
-import numpy as np
-
 
 @dataclass
 class HopHistogram:
@@ -35,30 +33,6 @@ class HopHistogram:
             return 0.0
         return 100.0 * self.counts.get(hops, 0) / self.total
 
-    def cumulative_percentage(self, hops: int) -> float:
-        """% of requests resolved in <= *hops* hops."""
-        if self.total == 0:
-            return 0.0
-        c = sum(v for k, v in self.counts.items() if k <= hops)
-        return 100.0 * c / self.total
-
-    def mode(self) -> int:
-        """Hop count with the most requests (0 when empty)."""
-        if not self.counts:
-            return 0
-        return max(self.counts, key=lambda k: (self.counts[k], -k))
-
-    def peak_percentage(self) -> float:
-        return self.percentage(self.mode()) if self.counts else 0.0
-
-    def mean(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return sum(k * v for k, v in self.counts.items()) / self.total
-
     def row(self, max_hops: int = 30) -> List[float]:
         """Dense percentage row [0..max_hops] — one slice of the surface."""
         return [self.percentage(h) for h in range(max_hops + 1)]
-
-    def as_array(self, max_hops: int = 30) -> np.ndarray:
-        return np.array(self.row(max_hops))

@@ -1,6 +1,6 @@
-"""Tests for the sweep driver, the cache, and every figure runner.
+"""Tests for the sweep driver and the nine figure scenarios built on it.
 
-These run small (n=96-128) sweeps — enough to exercise every code path and
+These run small (n=64-128) sweeps — enough to exercise every code path and
 check the *shape* constraints the paper reports, while keeping the suite
 fast.  The benches run the full-size versions.
 """
@@ -8,30 +8,24 @@ fast.  The benches run the full-size versions.
 import numpy as np
 import pytest
 
-from repro.experiments import SweepConfig, run_failure_sweep, sweep_cached
-from repro.experiments.cache import cache_clear, cache_size
-from repro.experiments import (
-    figure_a,
-    figure_b,
-    figure_c,
-    figure_d,
-    figure_e,
-    figure_fg,
-    figure_hi,
-)
+from repro.bench import registry
+from repro.bench.scenarios import figures  # importing the package registers all scenarios
+from repro.core.treep import TreePNetwork
+from repro.experiments import SweepConfig, run_failure_sweep
 
 N = 128
 LPS = 60
+FIGURES = tuple(f"figure_{c}" for c in "abcdefghi")
 
 
 @pytest.fixture(scope="module")
 def sweep1():
-    return sweep_cached(SweepConfig(n=N, seed=3, case="case1", lookups_per_step=LPS))
+    return run_failure_sweep(SweepConfig(n=N, seed=3, case="case1", lookups_per_step=LPS))
 
 
 @pytest.fixture(scope="module")
 def sweep2():
-    return sweep_cached(SweepConfig(n=N, seed=3, case="case2", lookups_per_step=LPS))
+    return run_failure_sweep(SweepConfig(n=N, seed=3, case="case2", lookups_per_step=LPS))
 
 
 class TestSweepDriver:
@@ -61,20 +55,6 @@ class TestSweepDriver:
 
     def test_height_recorded(self, sweep1):
         assert sweep1.height >= 2
-
-
-class TestCache:
-    def test_cache_hits(self):
-        cache_clear()
-        cfg = SweepConfig(n=64, seed=1, lookups_per_step=20)
-        a = sweep_cached(cfg)
-        b = sweep_cached(cfg)
-        assert a is b
-        assert cache_size() == 1
-        sweep_cached(SweepConfig(n=64, seed=2, lookups_per_step=20))
-        assert cache_size() == 2
-        cache_clear()
-        assert cache_size() == 0
 
 
 class TestPaperShapes:
@@ -145,43 +125,41 @@ class TestPaperShapes:
         assert peak2 >= peak1 - 10.0
 
 
-class TestFigureRunners:
-    def test_figure_a(self):
-        series = figure_a.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"G", "NG", "NGSA"}
-        out = figure_a.render(n=N, seed=3, lookups_per_step=LPS)
-        assert "Figure A" in out
+class TestFigureScenarios:
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_renders_own_figure(self, name):
+        out = registry.get(name).execute(
+            seed=3, overrides={"n": N, "lookups_per_step": LPS})
+        assert f"Figure {name[-1].upper()} — " in out.rendered
+        assert out.rendered.count("Figure ") == 1
 
-    def test_figure_b(self):
-        series = figure_b.run(n=N, seed=3, lookups_per_step=LPS)
-        assert all(len(s) > 10 for s in series.values())
-        assert "Figure B" in figure_b.render(n=N, seed=3, lookups_per_step=LPS)
+    def test_nine_figures_run_two_sweeps(self, monkeypatch):
+        cases = []
 
-    def test_figure_c(self):
-        series = figure_c.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"G", "NG", "NGSA"}
-        assert "Figure C" in figure_c.render(n=N, seed=3, lookups_per_step=LPS)
+        def counting(config):
+            cases.append(config.case)
+            return run_failure_sweep(config)
 
-    def test_figure_d(self):
-        series = figure_d.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"fixed nc=4", "variable nc"}
-        assert "Figure D" in figure_d.render(n=N, seed=3, lookups_per_step=LPS)
+        monkeypatch.setattr(figures, "run_failure_sweep", counting)
+        figures._run_sweep.cache_clear()
+        for name in FIGURES:
+            registry.get(name).execute(
+                seed=5, overrides={"n": 64, "lookups_per_step": 20})
+        assert sorted(cases) == ["case1", "case2"]
 
-    def test_figure_e(self):
-        series = figure_e.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"max", "min"}
-        assert "Figure E" in figure_e.render(n=N, seed=3, lookups_per_step=LPS)
 
-    def test_figure_fg(self):
-        surfaces = figure_fg.run(n=N, seed=3, lookups_per_step=LPS)
-        assert surfaces["F"].algo == "G" and surfaces["G"].algo == "NG"
-        arr = surfaces["F"].as_array()
-        assert arr.shape[1] == 31
-        out = figure_fg.render(n=N, seed=3, lookups_per_step=LPS)
-        assert "Figure F" in out and "Figure G" in out
+@pytest.mark.parametrize("name, overrides, builds", [
+    ("ngsa_cost", {"n": 64, "lookups": 30}, 1),
+    ("table_sizes", {"n": 64}, 2),
+], ids=["ngsa_cost", "table_sizes"])
+def test_scenario_builds_each_network_once(name, overrides, builds, monkeypatch):
+    built = []
+    real_build = TreePNetwork.build
 
-    def test_figure_hi(self):
-        surfaces = figure_hi.run(n=N, seed=3, lookups_per_step=LPS)
-        assert surfaces["H"].algo == "G" and surfaces["I"].algo == "NG"
-        out = figure_hi.render(n=N, seed=3, lookups_per_step=LPS)
-        assert "Figure H" in out and "Figure I" in out
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        return real_build(self, *args, **kwargs)
+
+    monkeypatch.setattr(TreePNetwork, "build", counting)
+    registry.get(name).execute(seed=3, overrides=overrides)
+    assert len(built) == builds
