@@ -60,7 +60,20 @@ class NodeCapacity:
         Geometric mean of log-scaled resources, discounted by current load.
         The geometric mean keeps any single huge resource from dominating
         (a fat pipe on a loaded CPU should not win every election).
+
+        The instance is frozen, so the value is computed on first use and
+        kept in the instance ``__dict__`` outside the dataclass fields:
+        equality, hashing and ``replace``/``with_load`` copies (which get
+        their own score) are unaffected.
         """
+        try:
+            return self.__dict__["_score"]
+        except KeyError:
+            s = self.__dict__["_score"] = self._compute_score()
+            return s
+
+    def _compute_score(self) -> float:
+        """The :meth:`score` formula, evaluated afresh."""
         resources = np.array(
             [
                 np.log1p(self.cpu),

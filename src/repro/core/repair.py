@@ -32,11 +32,13 @@ flip individual knobs (e.g. parent re-adoption) to quantify each mechanism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
+    from repro.core.routing_table import RoutingTable
     from repro.core.treep import TreePNetwork
 
 
@@ -110,36 +112,35 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
     TTL before this runs).
     """
     t = node.table
-    now = node.sim.now
-
-    known = [(e.ident, e.max_level) for e in t.candidates()]
-
+    me = node.ident
+    # Entries are read lazily: a level-0 node with a live parent needs
+    # only the known ids, not per-entry level metadata.
     if policy.relink_level0:
-        level0_ids = [i for i, _ in known]
-        left, right = _nearest_sides(level0_ids, node.ident)
+        level0_ids = t.all_known()
+        left, right = _nearest_sides(level0_ids, me)
         t.level0 = {i for i in (left, right) if i is not None}
         # Keep the paper's minimum-two-connections rule at bus endpoints.
         if len(t.level0) < 2:
             same_side = sorted(
                 (i for i in level0_ids if i not in t.level0),
-                key=lambda i: abs(i - node.ident),
+                key=lambda i: abs(i - me),
             )
             for i in same_side[: 2 - len(t.level0)]:
                 t.level0.add(i)
 
-    if policy.relink_buses:
+    if policy.relink_buses and node.max_level >= 1:
+        known = t.candidates()
         for lvl in range(1, node.max_level + 1):
-            bus_ids = [i for i, m in known if m >= lvl and i != node.ident]
-            l, r = _nearest_sides(bus_ids, node.ident)
+            l, r = _nearest_sides([e.ident for e in known if e.max_level >= lvl], me)
             t.level_tables[lvl] = {i for i in (l, r) if i is not None}
 
     if policy.adopt_parents:
         want_level = node.max_level + 1
         if t.parents.get(want_level) is None:
-            ups = [i for i, m in known if m >= want_level]
+            ups = [e.ident for e in t.candidates() if e.max_level >= want_level]
             if ups:
-                new_parent = min(ups, key=lambda i: abs(i - node.ident))
-                t.set_parent(want_level, new_parent, now)
+                new_parent = min(ups, key=lambda i: abs(i - me))
+                t.set_parent(want_level, new_parent, node.sim.now)
 
 
 def _prune_children(node: "TreePNode") -> None:
@@ -157,9 +158,12 @@ def purge_dead(net: "TreePNetwork", newly_dead: Optional[Iterable[int]] = None) 
     """Delete every entry pointing at a down peer from every live table.
 
     Equivalent to letting every keep-alive TTL lapse; returns entries
-    removed.  Pass *newly_dead* to restrict the scan to peers that failed
+    removed.  Pass *newly_dead* to restrict the purge to peers that failed
     since the last purge (gossip never re-imports dead peers, so
-    incremental purging is exact and much cheaper on large sweeps).
+    incremental purging is exact).  Each table walks its own entries
+    against the dead set, so a node's purge costs its table size whatever
+    the number of dead peers; *newly_dead* only saves re-checking the
+    whole membership for liveness.
     """
     removed = 0
     if newly_dead is not None:
@@ -171,12 +175,52 @@ def purge_dead(net: "TreePNetwork", newly_dead: Optional[Iterable[int]] = None) 
     for ident, node in net.nodes.items():
         if ident in dead:
             continue
-        for d in dead:
-            if node.table.get(d) is not None:
-                node.table.forget(d)
-                removed += 1
+        removed += node.table.forget_known(dead)
         _prune_children(node)
     return removed
+
+
+def _with_meta(t: "RoutingTable", ids: Iterable[int]) -> tuple:
+    """``(id, max_level, score, nc)`` for *ids*, in iteration order.
+
+    A role member the table holds no entry for gets ``None`` metadata:
+    importing it refreshes the entry without overwriting its fields.
+    """
+    get = t.get
+    return tuple([(i, None, None, None) if (e := get(i)) is None
+                  else (i, e.max_level, e.score, e.nc) for i in ids])
+
+
+class _Snapshot:
+    """What a gossip round reads of one live node, frozen at round start.
+
+    Only the roles peers import are copied, each member paired with the
+    metadata the node's table holds for it: the level-0 links, the bus
+    links per level and (when neighbour children are refreshed) the
+    children per level.  The superior export — parents, superiors and the
+    bus at the node's own top level — is built only for nodes some live
+    child reads it from.  Set roles are read through a fresh copy, whose
+    iteration order can differ from the live set's: imports follow that
+    order, and it decides the order in which new entries join a table.
+    """
+
+    __slots__ = ("level0", "bus_ids", "buses", "children", "superior", "me",
+                 "parent")
+
+    def __init__(self, node: "TreePNode", with_children: bool,
+                 with_superior: bool) -> None:
+        t = node.table
+        self.level0 = _with_meta(t, set(t.level0))
+        self.bus_ids = {lvl: set(ids) for lvl, ids in t.level_tables.items()}
+        self.buses = {lvl: _with_meta(t, ids) for lvl, ids in self.bus_ids.items()}
+        self.children = ({lvl: _with_meta(t, list(kids))
+                          for lvl, kids in node.children_by_level.items()}
+                         if with_children else {})
+        self.superior = (_with_meta(t, itertools.chain(
+            t.parents.values(), set(t.superiors),
+            self.bus_ids.get(node.max_level, ()))) if with_superior else ())
+        self.me = (node.max_level, node.score, node.nc)
+        self.parent = t.parents.get(node.max_level + 1)
 
 
 def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> None:
@@ -192,56 +236,38 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
     * from its parent (when one survives): the parent's ancestors and bus
       links (the superior-node list of Figure 2).
 
-    Entries backing no role afterwards are trimmed, keeping table sizes
-    within the §III.e bounds instead of accumulating gossip forever.
+    Every imported role is rebuilt whole from the exchange, so imports
+    only refresh entry metadata (taken from the peer's snapshot) and the
+    new role sets are installed once per node.  Entries backing no role
+    afterwards are trimmed, keeping table sizes within the §III.e bounds
+    instead of accumulating gossip forever.  The round costs the size of
+    the live tables; which peers died since the last round does not enter.
     """
     now = net.sim.now
+    up = net.network.is_up
+    refresh_nc = policy.refresh_neighbour_children
+    live = [(ident, node) for ident, node in net.nodes.items() if up(ident)]
+    read_as_parent = {node.table.parents.get(node.max_level + 1) for _, node in live}
     # Snapshot first so information moves one hop per round, matching one
     # keep-alive exchange, not transitively within a round.
-    snapshot: dict[int, tuple] = {}
-    for ident, node in net.nodes.items():
-        if not net.network.is_up(ident):
-            continue
-        t = node.table
-        meta = {}
-        for i in t.all_known():
-            e = t.get(i)
-            meta[i] = (e.max_level, e.score, e.nc)  # type: ignore[union-attr]
-        snapshot[ident] = (
-            set(t.level0),
-            {lvl: set(ids) for lvl, ids in t.level_tables.items()},
-            {lvl: list(kids) for lvl, kids in node.children_by_level.items()},
-            dict(t.parents),
-            set(t.superiors),
-            (node.max_level, node.score, node.nc),
-            meta,
-        )
+    snapshot = {ident: _Snapshot(node, refresh_nc, ident in read_as_parent)
+                for ident, node in live}
 
-    for ident, snap in snapshot.items():
-        node = net.nodes[ident]
+    for ident, node in live:
+        snap = snapshot[ident]
         t = node.table
-        my_level0, my_buses, _, my_parents, _, _, _ = snap
-
-        def import_entry(i: int, src_meta: dict, adder: Callable) -> None:
-            if i == ident:
-                return
-            m = src_meta.get(i)
-            if m is None:
-                adder(i, now)
-            else:
-                adder(i, now, max_level=m[0], score=m[1], nc=m[2])
+        upsert = t.upsert
 
         # Level-0 exchange: refresh the link, learn the peer's links.
         new_indirect: set[int] = set()
-        for peer in my_level0:
+        for peer, _, _, _ in snap.level0:
             ps = snapshot.get(peer)
             if ps is None:
                 continue
-            p_level0, _, _, _, _, pme, pmeta = ps
-            t.add_level0(peer, now, max_level=pme[0], score=pme[1], nc=pme[2])
-            for i in p_level0:
+            upsert(peer, now, *ps.me)
+            for i, ml, sc, nc in ps.level0:
                 if i != ident:
-                    import_entry(i, pmeta, t.add_level0_indirect)
+                    upsert(i, now, ml, sc, nc)
                     new_indirect.add(i)
         if new_indirect:
             t.level0_indirect = new_indirect - t.level0
@@ -252,48 +278,41 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
         # rounds, or table sizes would leave the §III.e bounds.
         fresh_nc: set[int] = set()
         any_bus_exchange = False
-        for lvl, bus_entries in my_buses.items():
+        for lvl, bus_entries in snap.bus_ids.items():
             # Exchange only on *maintained* connections: the nearest bus
             # neighbour on each side.  Everything else in the level table
             # is indirect knowledge, not an active edge (§III.a).
             l, r = _nearest_sides(bus_entries, ident)
             bus_links = {i for i in (l, r) if i is not None}
             fresh_level: set[int] = set()
-            exchanged_here = False
             for peer in bus_links:
                 ps = snapshot.get(peer)
                 if ps is None:
                     continue
-                exchanged_here = True
-                any_bus_exchange = True
-                _, p_buses, p_children, _, _, pme, pmeta = ps
-                t.add_level(lvl, peer, now, max_level=pme[0], score=pme[1], nc=pme[2])
+                upsert(peer, now, *ps.me)
                 fresh_level.add(peer)
-                for i in p_buses.get(lvl, ()):
+                for i, ml, sc, nc in ps.buses.get(lvl, ()):
                     if i != ident:
-                        import_entry(i, pmeta, lambda j, n, **m: t.add_level(lvl, j, n, **m))
+                        upsert(i, now, ml, sc, nc)
                         fresh_level.add(i)
-                if policy.refresh_neighbour_children:
-                    for k in p_children.get(lvl, ()):
-                        if k != ident:
-                            import_entry(k, pmeta, t.add_neighbour_child)
-                            fresh_nc.add(k)
-            if exchanged_here:
+                for k, ml, sc, nc in ps.children.get(lvl, ()):
+                    if k != ident:
+                        upsert(k, now, ml, sc, nc)
+                        fresh_nc.add(k)
+            if fresh_level:
+                any_bus_exchange = True
                 t.level_tables[lvl] = fresh_level
-        if policy.refresh_neighbour_children and any_bus_exchange:
+        if refresh_nc and any_bus_exchange:
             t.neighbour_children = fresh_nc
 
         # Parent exchange: ancestors + parent's bus links -> superiors.
-        p = my_parents.get(node.max_level + 1)
-        ps = snapshot.get(p) if p is not None else None
+        ps = snapshot.get(snap.parent) if snap.parent is not None else None
         if ps is not None:
-            _, p_buses, _, p_parents, p_superiors, pme, pmeta = ps
             new_sup: set[int] = set()
-            for group in (p_parents.values(), p_superiors, p_buses.get(pme[0], ())):
-                for i in group:
-                    if i != ident:
-                        import_entry(i, pmeta, t.add_superior)
-                        new_sup.add(i)
+            for i, ml, sc, nc in ps.superior:
+                if i != ident:
+                    upsert(i, now, ml, sc, nc)
+                    new_sup.add(i)
             t.superiors = new_sup
 
         t.trim_to_roles()

@@ -28,7 +28,7 @@ refreshes every role it appears under at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Container, Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(slots=True)
@@ -326,6 +326,17 @@ class RoutingTable:
         self.superiors.discard(ident)
         for lvl in [l for l, p in self.parents.items() if p == ident]:
             del self.parents[lvl]
+
+    def forget_known(self, idents: Container[int]) -> int:
+        """:meth:`forget` every known peer in *idents*; return how many.
+
+        Walks this table's own entries (in insertion order), so the cost
+        follows the table size, not ``len(idents)``.
+        """
+        gone = [i for i in self._entries if i in idents]
+        for ident in gone:
+            self.forget(ident)
+        return len(gone)
 
     # ------------------------------------------------------------ role sets
     def add_level0(self, ident: int, now: float, **meta: float) -> None:

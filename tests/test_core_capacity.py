@@ -48,6 +48,60 @@ def test_with_load_copies():
     assert c2.cpu == 4
 
 
+class TestScoreMemo:
+    """``score()`` is computed once per (frozen) instance."""
+
+    @staticmethod
+    def formula(c):
+        resources = np.array([np.log1p(c.cpu), np.log1p(c.memory_gb),
+                              np.log1p(c.bandwidth_mbps), np.log1p(c.storage_gb),
+                              np.log1p(c.uptime_hours)])
+        gmean = float(np.exp(np.mean(np.log(resources + 1e-9))))
+        return gmean * ((1.0 - 0.5 * c.cpu_load) * (1.0 - 0.5 * c.net_load))
+
+    def test_equals_unmemoised_formula_exactly(self):
+        for c in CapacityDistribution(np.random.default_rng(4)).sample_many(50):
+            first = c.score()
+            assert first == self.formula(c)
+            assert c.score() == first
+
+    def test_with_load_copy_gets_its_own_score(self):
+        c = NodeCapacity(cpu=4)
+        idle = c.score()
+        busy = c.with_load(cpu_load=0.8, net_load=0.6)
+        assert busy.score() == self.formula(busy)
+        assert busy.score() < idle
+        assert c.score() == idle
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        scored, fresh = NodeCapacity(cpu=8), NodeCapacity(cpu=8)
+        scored.score()
+        assert scored == fresh and fresh == scored
+        assert hash(scored) == hash(fresh)
+        assert len({scored, fresh}) == 1
+        assert repr(scored) == repr(fresh)
+
+    def test_numpy_path_runs_once_per_instance(self, monkeypatch):
+        calls = []
+        compute = NodeCapacity._compute_score
+
+        def counting(self):
+            calls.append(self)
+            return compute(self)
+
+        monkeypatch.setattr(NodeCapacity, "_compute_score", counting)
+        a, b = NodeCapacity(cpu=2), NodeCapacity(cpu=2)
+        for _ in range(5):
+            a.score()
+            b.score()
+        a.max_children()
+        a.promotion_countdown()
+        assert len(calls) == 2
+        assert calls[0] is a and calls[1] is b
+        a.with_load(cpu_load=0.5).score()
+        assert len(calls) == 3
+
+
 class TestMaxChildren:
     def test_bounds_respected(self):
         weak = NodeCapacity(cpu=1, memory_gb=0.5, bandwidth_mbps=1,

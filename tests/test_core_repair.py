@@ -1,5 +1,7 @@
 """Unit tests for the self-healing machinery (purge / relink / gossip)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,48 @@ class TestPurge:
     def test_purge_noop_without_dead(self):
         net = built()
         assert purge_dead(net) == 0
+
+
+    def test_purge_work_follows_table_size_not_dead_count(self, monkeypatch):
+        """Each live table is walked once against the dead set: entry
+        probes stay bounded by what the tables hold, and only entries that
+        point at dead peers are forgotten (probing every table once per
+        dead id made the purge cost live nodes x dead ids)."""
+        from repro.core.routing_table import RoutingTable
+
+        counts = {"get": 0, "forget": 0}
+        get, forget = RoutingTable.get, RoutingTable.forget
+
+        def counting_get(self, ident):
+            counts["get"] += 1
+            return get(self, ident)
+
+        def counting_forget(self, ident):
+            counts["forget"] += 1
+            return forget(self, ident)
+
+        def purge_work(dead):
+            net = built(n=1000, seed=3)
+            victims = set(kill(net, dead))
+            live = [n for i, n in net.nodes.items() if i not in victims]
+            entries = sum(n.table.size() for n in live)
+            kids = sum(len(k) for n in live for k in n.children_by_level.values())
+            counts.update(get=0, forget=0)
+            monkeypatch.setattr(RoutingTable, "get", counting_get)
+            monkeypatch.setattr(RoutingTable, "forget", counting_forget)
+            removed = purge_dead(net, newly_dead=victims)
+            monkeypatch.undo()
+            assert counts["forget"] == removed
+            # Child-list pruning is the only per-id probe left.
+            assert counts["get"] <= kids
+            return dict(counts), entries
+
+        few, _ = purge_work(10)
+        many, entries_many = purge_work(200)
+        assert 0 < few["forget"] < many["forget"]
+        assert many["get"] <= few["get"]
+        # Probing every table once per dead id would cost live x dead.
+        assert many["get"] + many["forget"] < entries_many
 
 
 class TestRelink:
@@ -202,3 +246,48 @@ class TestRepairPolicy:
     def test_policies_frozen(self):
         with pytest.raises(Exception):
             PAPER_POLICY.gossip_rounds = 5  # type: ignore[misc]
+
+
+# ----------------------------------------------------- golden post-repair state
+
+#: SHA-256 of every live node's routing state after three crash bursts
+#: (N=500, seed 5, 10% per burst) healed by :func:`apply_failure_step`.
+#: Pins converged-mode repair bit for bit: any change to what purge,
+#: relink, symmetrize, gossip or child sync leave in the tables moves it.
+PINNED_REPAIR_DIGESTS = {
+    "paper": "ecb1f33225ef64049752222ed68920b05d523c1a2318f0d610cb6a3d11a85efb",
+    "full": "1fa4f3f4f5bbf08610dd10abe7f1915dca285d5595a4d92fd652ab868ff7f6f4",
+}
+
+
+def repair_state_digest(policy, n=500, seed=5, bursts=3, frac=0.1):
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
+    net.build(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(bursts):
+        alive = net.alive_ids()
+        victims = [int(v) for v in
+                   rng.choice(alive, int(len(alive) * frac), replace=False)]
+        net.fail_nodes(victims)
+        apply_failure_step(net, victims, policy)
+    h = hashlib.sha256()
+    for ident in sorted(net.alive_ids()):
+        node = net.nodes[ident]
+        t = node.table
+        roles = (
+            sorted(t.level0), sorted(t.level0_indirect),
+            sorted((lvl, sorted(ids)) for lvl, ids in t.level_tables.items()),
+            sorted(t.children), sorted(t.neighbour_children),
+            sorted(t.superiors), sorted(t.parents.items()),
+            sorted((lvl, list(kids))
+                   for lvl, kids in node.children_by_level.items()),
+            sorted(e.as_tuple() for e in t.candidates()),
+        )
+        h.update(f"{ident}|{roles!r}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,policy", [("paper", PAPER_POLICY),
+                                         ("full", FULL_POLICY)])
+def test_repair_state_digest_pinned(name, policy):
+    assert repair_state_digest(policy) == PINNED_REPAIR_DIGESTS[name]

@@ -80,6 +80,30 @@ def test_forget_removes_everywhere(table):
     assert table.parents == {}
 
 
+class _MembershipOnly:
+    """A container that answers ``in`` but refuses iteration."""
+
+    def __init__(self, ids):
+        self._ids = set(ids)
+
+    def __contains__(self, ident):
+        return ident in self._ids
+
+    def __iter__(self):
+        raise AssertionError("forget_known must not iterate the id set")
+
+
+def test_forget_known_walks_own_entries(table):
+    table.add_level0(5, 0.0)
+    table.add_superior(6, 0.0)
+    table.set_parent(1, 7, 0.0)
+    gone = table.forget_known(_MembershipOnly(range(6, 10_000)))
+    assert gone == 2
+    assert table.all_known() == [5]
+    assert table.parents == {} and table.superiors == set()
+    assert table.forget_known(_MembershipOnly(())) == 0
+
+
 def test_expire_drops_stale(table):
     table.add_level0(1, now=0.0)
     table.add_level0(2, now=10.0)
